@@ -479,11 +479,17 @@ steps:
 		}
 		return ""
 	}
+	// "running" is recorded at dispatch, possibly before mid's shell has
+	// appended its marker line (the file exists, empty, between the
+	// shell's open and its write), so also wait for the line: stopping
+	// earlier would kill an attempt that never counted as a run.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		getWF()
 		if stepState("first") == "done" && stepState("mid") == "running" {
-			break
+			if b, err := os.ReadFile(marks + "/mid"); err == nil && strings.Contains(string(b), "run") {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("workflow never reached mid-run shape: %+v", wf)
@@ -540,15 +546,24 @@ steps:
 	if counts["last"] != 1 {
 		t.Errorf("last ran %d times, want 1", counts["last"])
 	}
-	// The resumed run traced under the original request ID.
-	tresp, err := http.Get(base + "/v1/traces/" + traceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbody, _ := io.ReadAll(tresp.Body)
-	tresp.Body.Close()
-	if tresp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/traces/%s = %d after restart", traceID, tresp.StatusCode)
+	// The resumed run traced under the original request ID. The run's
+	// workflow.run span finishes after the record reads done, so poll
+	// until the deadline before judging the trace.
+	var tbody []byte
+	for {
+		tresp, err := http.Get(base + "/v1/traces/" + traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbody, _ = io.ReadAll(tresp.Body)
+		tresp.Body.Close()
+		if tresp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/traces/%s = %d after restart", traceID, tresp.StatusCode)
+		}
+		if strings.Contains(string(tbody), "workflow.run") || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if !strings.Contains(string(tbody), "workflow.run") || !strings.Contains(string(tbody), "step.run") {
 		t.Errorf("resumed trace missing execution spans:\n%s", tbody)

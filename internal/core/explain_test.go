@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"hdlts/internal/gen"
+	"hdlts/internal/sched"
 )
 
 // TestScheduleExplainedInvariants checks the captured rationale against the
@@ -84,45 +87,94 @@ func TestScheduleExplainedInvariants(t *testing.T) {
 }
 
 // TestScheduleExplainedMatchesTrace cross-checks the capture against the
-// reference engine's Table-I trace: same selection sequence, same penalty
-// values, same processors, same duplication decisions.
+// full-recompute oracle's Table-I trace: same selection sequence, same
+// penalty values, same processors, same duplication decisions, and
+// bit-identical ready sets, PVs and EFT vectors — in full for ScheduleTrace
+// and as the oracle's top-itqCaptureCap entries for ScheduleExplained. The
+// last input is a wide problem whose ITQ outgrows the snapshot cap.
 func TestScheduleExplainedMatchesTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	var problems []*sched.Problem
 	for i := 0; i < 20; i++ {
 		pr, err := randomProblem(rng)
 		if err != nil {
 			t.Fatal(err)
 		}
+		problems = append(problems, pr)
+	}
+	problems = append(problems, wideProblem(t))
+	for i, pr := range problems {
 		h := New()
 		_, decs, err := h.ScheduleExplained(pr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, steps, err := h.ScheduleTrace(pr)
+		_, traced, err := h.ScheduleTrace(pr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(decs) != len(steps) {
-			t.Fatalf("problem %d: %d decisions vs %d trace steps", i, len(decs), len(steps))
+		_, steps, err := referenceSchedule(h, pr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range steps {
-			if decs[k].Task != steps[k].Selected {
-				t.Fatalf("problem %d iter %d: selected %d vs trace %d",
-					i, k+1, decs[k].Task, steps[k].Selected)
+		if len(decs) != len(steps) || len(traced) != len(steps) {
+			t.Fatalf("problem %d: %d decisions and %d trace steps vs %d oracle steps",
+				i, len(decs), len(traced), len(steps))
+		}
+		for k, st := range steps {
+			if decs[k].Task != st.Selected {
+				t.Fatalf("problem %d iter %d: selected %d vs oracle %d",
+					i, k+1, decs[k].Task, st.Selected)
 			}
-			if decs[k].Proc != steps[k].Proc {
-				t.Fatalf("problem %d iter %d: proc %d vs trace %d",
-					i, k+1, decs[k].Proc, steps[k].Proc)
+			if decs[k].Proc != st.Proc {
+				t.Fatalf("problem %d iter %d: proc %d vs oracle %d",
+					i, k+1, decs[k].Proc, st.Proc)
 			}
-			if decs[k].Duplicated != steps[k].Duplicated {
+			if decs[k].Duplicated != st.Duplicated {
 				t.Fatalf("problem %d iter %d: duplication mismatch", i, k+1)
 			}
-			if decs[k].ITQWidth != len(steps[k].Ready) {
-				t.Fatalf("problem %d iter %d: ITQ width %d vs trace %d",
-					i, k+1, decs[k].ITQWidth, len(steps[k].Ready))
+			if decs[k].ITQWidth != len(st.Ready) {
+				t.Fatalf("problem %d iter %d: ITQ width %d vs oracle %d",
+					i, k+1, decs[k].ITQWidth, len(st.Ready))
+			}
+			if !reflect.DeepEqual(traced[k], st) {
+				t.Fatalf("problem %d iter %d: trace step %+v differs from oracle %+v", i, k+1, traced[k], st)
+			}
+			if !reflect.DeepEqual(decs[k].EFT, st.EFT) {
+				t.Fatalf("problem %d iter %d: EFT %v vs oracle %v", i, k+1, decs[k].EFT, st.EFT)
+			}
+			want := make([]ITQItem, len(st.Ready))
+			for j, task := range st.Ready {
+				want[j] = ITQItem{Task: task, PV: st.PV[j]}
+			}
+			if len(want) > itqCaptureCap {
+				slices.SortFunc(want, func(x, y ITQItem) int {
+					if before(x, y) {
+						return -1
+					}
+					return 1
+				})
+				want = want[:itqCaptureCap]
+				slices.SortFunc(want, func(x, y ITQItem) int { return int(x.Task) - int(y.Task) })
+			}
+			if !reflect.DeepEqual(decs[k].ITQ, want) {
+				t.Fatalf("problem %d iter %d: ITQ snapshot %v vs oracle %v", i, k+1, decs[k].ITQ, want)
 			}
 		}
 	}
+}
+
+// wideProblem is a fixed random workflow whose ITQ grows well past
+// itqCaptureCap, so the capped snapshot and event paths are exercised.
+func wideProblem(t *testing.T) *sched.Problem {
+	t.Helper()
+	pr, err := gen.Random(gen.Params{
+		V: 300, Alpha: 2.5, Density: 3, CCR: 2, Procs: 4, WDAG: 80, Beta: 1.2,
+	}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
 }
 
 // TestScheduleExplainedDeterministic pins the byte-determinism the CI smoke

@@ -18,16 +18,17 @@
 // avail-based placement) were pinned down by hand-reproducing every row of
 // the paper's Table I; see DESIGN.md §1.
 //
-// Two interchangeable engines implement the loop. The *indexed core*
-// (indexed.go) keeps all per-iteration state in flat, pooled, index-keyed
-// slices — a selection argmax fused into the per-iteration update pass
-// instead of a sorted queue or heap, cached parent-arrival vectors instead
-// of recomputed ready times — and serves every untraced solve
-// allocation-free in the steady state; docs/SOLVER.md maps Algorithm 1
-// onto it line by line. The *reference engine*
-// (reference.go) is the direct transcription of the paper's loop; it serves
-// traced solves (its event ordering is the documented one) and is the
-// differential-testing oracle the indexed core is proven against.
+// One engine implements the loop: the *indexed core* (indexed.go) keeps
+// all per-iteration state in flat, pooled, index-keyed slices — a selection
+// argmax fused into the per-iteration update pass instead of a sorted queue
+// or heap, cached parent-arrival vectors instead of recomputed ready times —
+// and serves every solve allocation-free in the steady state; docs/SOLVER.md
+// maps Algorithm 1 onto it line by line. Traced, Table-I and explain solves
+// run the same loop with a decision capture attached (explain.go): one
+// Decision per iteration, from which the tracer's event stream, the Step
+// trace and the explain report are all derived. The literal transcription
+// of the paper's loop survives only as the differential-testing oracle in
+// reference_test.go.
 package core
 
 import (
@@ -84,11 +85,6 @@ var DefaultOptions = Options{}
 // for concurrent use.
 type HDLTS struct {
 	opts Options
-	// fullRecompute disables the incremental EFT maintenance and rebuilds
-	// every ready task's estimate vector each iteration — the literal
-	// O(|ITQ|·p) loop of the paper. The results are identical (tested
-	// differentially); the knob exists for that test and for benchmarks.
-	fullRecompute bool
 }
 
 // New returns HDLTS exactly as published.
@@ -121,6 +117,7 @@ func (h *HDLTS) policy() sched.Policy {
 }
 
 // Step records one ITQ iteration for trace output (Table I reproduction).
+// It is a view of the iteration's Decision with the ITQ snapshot uncapped.
 type Step struct {
 	// Ready lists the ITQ content at the start of the step, ascending by ID.
 	Ready []dag.TaskID
@@ -142,8 +139,7 @@ type Step struct {
 // zero-cost pseudo tasks first; the returned schedule references the
 // normalised problem (its Makespan equals the original workflow's).
 func (h *HDLTS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
-	s, _, err := h.run(pr, false, nil)
-	return s, err
+	return h.run(pr, nil, nil)
 }
 
 // ScheduleInto is Schedule reusing the backing storage of a schedule
@@ -154,28 +150,38 @@ func (h *HDLTS) Schedule(pr *sched.Problem) (*sched.Schedule, error) {
 // reset and rebound to pr's normalised form. Passing nil is equivalent to
 // Schedule.
 func (h *HDLTS) ScheduleInto(pr *sched.Problem, prev *sched.Schedule) (*sched.Schedule, error) {
-	s, _, err := h.run(pr, false, prev)
-	return s, err
+	return h.run(pr, prev, nil)
 }
 
 // ScheduleTrace is Schedule plus the per-iteration trace of ready sets,
 // penalty values, selections, and EFT vectors — the exact content of the
 // paper's Table I.
 func (h *HDLTS) ScheduleTrace(pr *sched.Problem) (*sched.Schedule, []Step, error) {
-	return h.run(pr, true, nil)
+	capt := &capture{keep: true, fullITQ: true}
+	s, err := h.run(pr, nil, capt)
+	if err != nil {
+		return nil, nil, err
+	}
+	steps := make([]Step, len(capt.decisions))
+	for i := range capt.decisions {
+		steps[i] = capt.decisions[i].step()
+	}
+	return s, steps, nil
 }
 
-// run normalises the problem and dispatches to an engine: the reference
-// engine when the caller wants the Table-I trace, decision events are being
-// recorded, or the fullRecompute oracle knob is set; the indexed core for
-// everything else — which is every production and benchmark solve.
-func (h *HDLTS) run(pr *sched.Problem, trace bool, prev *sched.Schedule) (*sched.Schedule, []Step, error) {
+// run normalises the problem and solves it with the indexed core. capt,
+// when non-nil, records the decisions the caller asked for; a traced
+// problem always gets a capture, which feeds the tracer its decision
+// stream. The schedule is the same either way.
+func (h *HDLTS) run(pr *sched.Problem, prev *sched.Schedule, capt *capture) (*sched.Schedule, error) {
 	pr = pr.Normalize()
-	if trace || h.fullRecompute || pr.Tracer().Enabled() {
-		return h.runReference(pr, trace, prev)
+	if tr := pr.Tracer(); tr.Enabled() {
+		if capt == nil {
+			capt = &capture{}
+		}
+		capt.tr = tr
 	}
-	s, err := h.runIndexed(pr, prev, nil)
-	return s, nil, err
+	return h.runIndexed(pr, prev, capt)
 }
 
 // lookaheadScore estimates the downstream cost of committing estimate e:

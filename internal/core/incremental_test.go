@@ -30,13 +30,12 @@ func TestQuickIncrementalMatchesFullRecompute(t *testing.T) {
 		}
 		for _, o := range optionSets {
 			inc := &HDLTS{opts: o}
-			full := &HDLTS{opts: o, fullRecompute: true}
 			si, stepsI, err := inc.ScheduleTrace(pr)
 			if err != nil {
 				t.Logf("incremental: %v", err)
 				return false
 			}
-			sf, stepsF, err := full.ScheduleTrace(pr)
+			sf, stepsF, err := referenceSchedule(inc, pr)
 			if err != nil {
 				t.Logf("full: %v", err)
 				return false
@@ -78,7 +77,7 @@ func TestQuickIncrementalMatchesFullRecompute(t *testing.T) {
 
 // TestIncrementalTableI: the incremental path (the default) must still
 // reproduce the golden makespan — already covered by TestTableI, asserted
-// here against the explicit full path too.
+// here against the full-recompute oracle too.
 func TestIncrementalTableI(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	_ = rng
@@ -90,7 +89,7 @@ func TestIncrementalTableI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := (&HDLTS{fullRecompute: true}).Schedule(pr)
+	full, _, err := referenceSchedule(New(), pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +98,8 @@ func TestIncrementalTableI(t *testing.T) {
 	}
 }
 
-// BenchmarkIncrementalVsFull quantifies the speedup of the incremental
-// path on a 300-task / 8-processor workload.
+// BenchmarkIncrementalVsFull quantifies the speedup of the indexed core
+// over the full-recompute oracle on a 300-task / 8-processor workload.
 func BenchmarkIncrementalVsFull(b *testing.B) {
 	pr, err := gen.Random(gen.Params{V: 300, Alpha: 1.5, Density: 3, CCR: 3, Procs: 8, WDAG: 80, Beta: 1.2}, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -115,9 +114,9 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 		}
 	})
 	b.Run("full", func(b *testing.B) {
-		h := &HDLTS{fullRecompute: true}
+		h := New()
 		for i := 0; i < b.N; i++ {
-			if _, err := h.Schedule(pr); err != nil {
+			if _, _, err := referenceSchedule(h, pr); err != nil {
 				b.Fatal(err)
 			}
 		}

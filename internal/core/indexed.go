@@ -17,10 +17,10 @@ import (
 // Must be a power of two (the sample test is a mask).
 const timeSampleStride = 8
 
-// The indexed core is the production engine behind HDLTS.Schedule: the same
-// loop as reference.go, restated over flat index-keyed state so that the
-// steady state of a solve allocates nothing and each iteration costs
-// O(|ITQ|) with O(1) work per queued task.
+// The indexed core is the HDLTS engine behind every solve: the paper's loop
+// (transcribed literally in the reference_test.go oracle), restated over
+// flat index-keyed state so that the steady state of a solve allocates
+// nothing and each iteration costs O(|ITQ|) with O(1) work per queued task.
 //
 // Layout (struct-of-slice throughout; see docs/SOLVER.md for the rationale
 // and the Algorithm 1 line mapping):
@@ -410,9 +410,8 @@ func (a *arena) updateRange(lo, hi, chunk int) {
 
 // refreshRows rebuilds every stale row from scratch after a duplication:
 // the new entry copy is reachable from every processor, so both the cached
-// arrival vectors and every EFT column may have moved. Mirrors the
-// reference engine's refreshAll fallback, carrying the selection argmax
-// like updateColumn does.
+// arrival vectors and every EFT column may have moved. Carries the
+// selection argmax like updateColumn does.
 //
 //hdlts:hotpath
 func (a *arena) refreshRows(iter uint32) (int32, int64, error) {
@@ -478,11 +477,11 @@ func (h *HDLTS) bestEstimate(a *arena, t dag.TaskID, row int32) sched.Estimate {
 }
 
 // runIndexed is the allocation-free engine. It maintains exactly the state
-// the reference engine recomputes — per queued task, the EFT vector under
-// the current partial schedule and its PV — but keyed by index, updated in
+// the paper's loop recomputes — per queued task, the EFT vector under the
+// current partial schedule and its PV — but keyed by index, updated in
 // O(1) per (row, committed column), with the selection fused into the
-// update pass. capt, when non-nil, receives the per-iteration placement
-// rationale (ScheduleExplained); production solves pass nil and pay one
+// update pass. capt, when non-nil, receives every decision (traced,
+// explain and Table-I solves); untraced solves pass nil and pay one
 // pointer test per iteration.
 //
 //hdlts:hotpath
@@ -532,8 +531,8 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, capt *captur
 	timedAll := scanAcc.Enabled()
 
 	// Estimates are batch-accounted: EstimateArrived does not bump the
-	// substrate counter per call, so one Add lands the same total the
-	// reference engine accumulates one atomic increment at a time.
+	// substrate counter per call, so the engine counts its own
+	// (task, processor) re-estimates and lands them with one Add.
 	estimates := int64(0)
 	for t := 0; t < n; t++ {
 		a.remaining[t] = int32(g.InDegree(dag.TaskID(t)))
@@ -606,7 +605,7 @@ func (h *HDLTS) runIndexed(pr *sched.Problem, prev *sched.Schedule, capt *captur
 		a.freeRow(selRow)
 
 		// Phase 4: admit newly independent tasks with post-commit estimate
-		// vectors — the same vectors the reference engine computes at the
+		// vectors — the same vectors the paper's loop computes at the
 		// top of its next iteration, since no commit intervenes.
 		for _, arc := range g.Succs(t) {
 			a.remaining[arc.Task]--

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hdlts/internal/gen"
+	"hdlts/internal/obs"
 	"hdlts/internal/sched"
 )
 
@@ -26,12 +27,13 @@ func canonicalBytes(t *testing.T, s *sched.Schedule) []byte {
 
 // TestIndexedMatchesReferenceBytes is the seed-vs-indexed equivalence
 // property: across ≥200 random DAG/platform pairs and every option
-// combination, the indexed core (the untraced default engine) must produce
-// a canonical schedule byte-identical to the reference engine running in
-// full-recompute oracle mode — the literal Algorithm 1 loop. Byte identity
-// means identical placements, identical duplicate decisions, and a
-// bit-identical makespan; any floating-point reassociation in the indexed
-// core's incremental EFT maintenance or batched σ would show up here.
+// combination, the indexed core must produce a canonical schedule
+// byte-identical to the full-recompute oracle (reference_test.go) — the
+// literal Algorithm 1 loop. Byte identity means identical placements,
+// identical duplicate decisions, and a bit-identical makespan; any
+// floating-point reassociation in the indexed core's incremental EFT
+// maintenance or batched σ would show up here. Explain and traced solves
+// run the same core with a capture attached and must not move a byte.
 func TestIndexedMatchesReferenceBytes(t *testing.T) {
 	optionSets := []Options{
 		{},
@@ -49,12 +51,11 @@ func TestIndexedMatchesReferenceBytes(t *testing.T) {
 		}
 		for _, o := range optionSets {
 			indexed := NewWithOptions(o)
-			oracle := &HDLTS{opts: o, fullRecompute: true}
 			si, err := indexed.Schedule(pr)
 			if err != nil {
 				t.Fatalf("pair %d opts %+v: indexed: %v", i, o, err)
 			}
-			sr, _, err := oracle.run(pr, false, nil)
+			sr, _, err := referenceSchedule(indexed, pr)
 			if err != nil {
 				t.Fatalf("pair %d opts %+v: reference: %v", i, o, err)
 			}
@@ -74,6 +75,34 @@ func TestIndexedMatchesReferenceBytes(t *testing.T) {
 			}
 			if len(decs) == 0 {
 				t.Fatalf("pair %d opts %+v: no decisions captured", i, o)
+			}
+			// A traced solve is the same solve: same bytes, and its
+			// iteration events replay the captured decisions.
+			col := obs.NewCollector()
+			st, err := indexed.Schedule(pr.WithTracer(col))
+			if err != nil {
+				t.Fatalf("pair %d opts %+v: traced: %v", i, o, err)
+			}
+			if bt := canonicalBytes(t, st); !bytes.Equal(bi, bt) {
+				t.Fatalf("pair %d opts %+v: tracing changed the schedule", i, o)
+			}
+			k := 0
+			for _, ev := range col.Events() {
+				if ev.Type != obs.EvIteration {
+					continue
+				}
+				if k >= len(decs) {
+					t.Fatalf("pair %d opts %+v: more iteration events than decisions", i, o)
+				}
+				d := decs[k]
+				if ev.Iter != d.Iter || ev.Task != int(d.Task) || ev.Proc != int(d.Proc) ||
+					ev.Value != d.PV || ev.Dup != d.Duplicated {
+					t.Fatalf("pair %d opts %+v: iteration event %+v disagrees with decision %+v", i, o, ev, d)
+				}
+				k++
+			}
+			if k != len(decs) {
+				t.Fatalf("pair %d opts %+v: %d iteration events for %d decisions", i, o, k, len(decs))
 			}
 		}
 	}

@@ -10,7 +10,8 @@ import (
 // TestTracerEventStream checks that an HDLTS run against a traced problem
 // emits the generalised Table-I stream: per-iteration PV and selection
 // events plus one commit per placement, and that the event trace agrees
-// with the structured Step trace.
+// with the structured Step trace. PV events are capped per iteration at
+// the decision snapshot's width.
 func TestTracerEventStream(t *testing.T) {
 	col := obs.NewCollector()
 	pr := workflows.PaperExample().WithTracer(obs.Named(col, "HDLTS"))
@@ -68,6 +69,49 @@ func TestTracerEventStream(t *testing.T) {
 	}
 	if maxFinish != 73 {
 		t.Errorf("max committed finish = %g, want the makespan 73", maxFinish)
+	}
+
+	// A frontier wider than the snapshot cap: each iteration carries
+	// min(width, itqCaptureCap) PV events — the queue's head in selection
+	// order, led by the selected task — and exactly one iteration event.
+	col = obs.NewCollector()
+	_, steps, err = New().ScheduleTrace(wideProblem(t).WithTracer(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perIter := make([][]obs.Event, len(steps))
+	iterEvents := make([]int, len(steps))
+	for _, ev := range col.Events() {
+		switch ev.Type {
+		case obs.EvPV:
+			perIter[ev.Iter-1] = append(perIter[ev.Iter-1], ev)
+		case obs.EvIteration:
+			iterEvents[ev.Iter-1]++
+		}
+	}
+	wide := 0
+	for k, st := range steps {
+		if len(st.Ready) > itqCaptureCap {
+			wide++
+		}
+		if want := min(len(st.Ready), itqCaptureCap); len(perIter[k]) != want {
+			t.Fatalf("iteration %d: %d pv events for ITQ width %d, want %d", k+1, len(perIter[k]), len(st.Ready), want)
+		}
+		if iterEvents[k] != 1 {
+			t.Fatalf("iteration %d: %d iteration events, want 1", k+1, iterEvents[k])
+		}
+		if perIter[k][0].Task != int(st.Selected) {
+			t.Fatalf("iteration %d: first pv event is T%d, want the selected T%d", k+1, perIter[k][0].Task+1, st.Selected+1)
+		}
+		for j := 1; j < len(perIter[k]); j++ {
+			prev, cur := perIter[k][j-1], perIter[k][j]
+			if prev.Value < cur.Value || (prev.Value == cur.Value && prev.Task > cur.Task) {
+				t.Fatalf("iteration %d: pv events out of selection order at %d", k+1, j)
+			}
+		}
+	}
+	if wide == 0 {
+		t.Fatal("wide problem never exceeded the snapshot cap")
 	}
 }
 

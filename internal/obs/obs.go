@@ -36,11 +36,14 @@ const (
 	// processor, Value = the winning penalty value, Dup = entry duplicate
 	// materialised).
 	EvIteration EventType = iota + 1
-	// EvPV is one penalty-value computation for a ready task within an
-	// iteration (Task, Iter, Value = PV).
+	// EvPV is the penalty value of a ready task within an iteration
+	// (Task, Iter, Value = PV). HDLTS emits one per entry of its ITQ
+	// snapshot — at most the top 32 by selection order, in that order —
+	// before the iteration's EvIteration.
 	EvPV
-	// EvEstimate is one (task, processor) EST/EFT evaluation
-	// (Task, Proc, Start = EST, Finish = EFT).
+	// EvEstimate is one (task, processor) EST/EFT evaluation through the
+	// sched substrate (Task, Proc, Start = EST, Finish = EFT). HDLTS does
+	// not emit it.
 	EvEstimate
 	// EvCommit is a placement committed to the schedule
 	// (Task, Proc, Start, Finish, Dup = this commit materialised an entry

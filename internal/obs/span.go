@@ -157,11 +157,13 @@ func randHex8() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Per-trace retention bounds: a runaway scheduler (estimates are
-// tasks × procs per iteration) must not balloon one trace without limit.
+// Per-trace retention bounds: no solve may balloon one trace without
+// limit. A traced HDLTS solve emits up to 35 decision events per ITQ step,
+// so a large one always fills the event cap; at 88 B per event, 512
+// events keep a full ring of 512 traces within ~23 MB.
 const (
 	maxSpansPerTrace  = 512
-	maxEventsPerTrace = 4096
+	maxEventsPerTrace = 512
 )
 
 // Trace is one finished or in-progress trace snapshot: the span tree

@@ -36,6 +36,9 @@ func Suite() []Bench {
 	return []Bench{
 		{Name: "solver/hdlts/v1k", HotPath: true, Quick: true, Benchtime: "100x", F: solverBench("hdlts", 1000)},
 		{Name: "solver/hdlts/v10k", HotPath: true, Quick: true, Benchtime: "10x", F: solverBench("hdlts", 10000)},
+		// Not hot-gated: the traced twin of v10k, pricing the decision
+		// stream with a tracer that drops every event.
+		{Name: "solver/hdlts/v10k_traced", Quick: true, Benchtime: "10x", F: tracedBench(10000)},
 		{Name: "solver/hdlts/v10k_steady", HotPath: true, Quick: true, Benchtime: "10x", F: steadyBench(10000)},
 		{Name: "solver/hdlts/v100k", HotPath: true, Quick: true, Benchtime: "1x", F: solverBench("hdlts", 100000)},
 		{Name: "solver/hdlts/v1m", HotPath: true, Benchtime: "1x", F: solverBench("hdlts", 1000000)},
@@ -80,19 +83,35 @@ func problem(v int) *sched.Problem {
 // given size. One untimed warm-up run pays the one-time costs (metric
 // series creation, lazily sized caches) so allocs/op measures steady state.
 func solverBench(name string, v int) func(*testing.B) {
+	return func(b *testing.B) { benchSolves(b, registry.MustGet(name), problem(v)) }
+}
+
+// discardTracer is an enabled tracer that drops every event: it makes the
+// solver build its full decision stream without timing any sink.
+type discardTracer struct{}
+
+func (discardTracer) Enabled() bool  { return true }
+func (discardTracer) Emit(obs.Event) {}
+
+// tracedBench is solverBench("hdlts", v) on a traced problem, so the pair
+// of benches isolates what observing a solve costs.
+func tracedBench(v int) func(*testing.B) {
 	return func(b *testing.B) {
-		pr := problem(v)
-		alg := registry.MustGet(name)
+		benchSolves(b, registry.MustGet("hdlts"), problem(v).WithTracer(discardTracer{}))
+	}
+}
+
+// benchSolves times alg on pr after one untimed warm-up solve.
+func benchSolves(b *testing.B, alg sched.Algorithm, pr *sched.Problem) {
+	if _, err := alg.Schedule(pr); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := alg.Schedule(pr); err != nil {
 			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := alg.Schedule(pr); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

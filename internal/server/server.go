@@ -463,9 +463,9 @@ func (s *Server) runSchedule(ctx context.Context, alg sched.Algorithm, pr *sched
 	// internal Profile.Do calls refine phase further while they run.
 	obs.WithPprofLabels(ctx, alg.Name(), "solve", func(context.Context) {
 		if ex, ok := alg.(explain.Explainer); explainReq && ok {
-			// Explain solves run the capture engine: same schedule bytes,
-			// but decision events bypass the trace ring (the rationale lands
-			// in the report instead).
+			// Explain solves run the same engine with the decision record
+			// kept: same schedule bytes, and the same decision events reach
+			// the trace ring as on a plain solve.
 			sc, decisions, err = ex.ScheduleExplained(prA)
 		} else {
 			sc, err = alg.Schedule(prA)
